@@ -1,11 +1,17 @@
 package ir
 
 // Builder is a reusable dependence-graph constructor: it produces exactly
-// the edges, in exactly the order, of BuildGraphTiming, but keeps every
-// piece of construction scratch — per-register writer/reader tables,
-// edge-list backings, the Graph itself — alive between blocks, so
-// steady-state graph building allocates only when a block needs more
-// capacity than any before it.
+// the edges, in exactly the order, of BuildGraphTiming, but keeps its
+// construction scratch — per-register writer/reader tables, the edge
+// backings, the Graph itself — alive between blocks, so steady-state
+// graph building allocates only when a block needs more capacity than
+// any before it.
+//
+// Every edge entering operation i is added while i is processed, so the
+// predecessor lists sit in one flat backing in add order, and the
+// successor lists are a stable counting transpose of it. Retained edge
+// storage is therefore bounded by the largest block built, not by the
+// per-operation high-water marks of every block seen.
 //
 // Register tables are epoch-stamped instead of cleared: each Build bumps
 // an epoch counter and a table entry is live only when its stamp matches,
@@ -19,6 +25,11 @@ type Builder struct {
 	graph Graph
 	succs [][]Edge
 	preds [][]Edge
+	// in holds every edge grouped by target (add order); out is its
+	// transpose grouped by source; outAt is the transpose's offsets.
+	in    []Edge
+	out   []Edge
+	outAt []int32
 
 	lastWriter  []int32
 	writerEpoch []uint32
@@ -70,29 +81,11 @@ func (bl *Builder) Build(b *Block, tm Timing) *Graph {
 	}
 	epoch := bl.epoch
 
-	if cap(bl.succs) < n {
-		// Carry the old edge-list backings into the wider table so their
-		// accumulated capacity is not lost.
-		succs := make([][]Edge, n)
-		preds := make([][]Edge, n)
-		copy(succs, bl.succs[:cap(bl.succs)])
-		copy(preds, bl.preds[:cap(bl.preds)])
-		bl.succs, bl.preds = succs, preds
-	}
-	bl.succs = bl.succs[:n]
-	bl.preds = bl.preds[:n]
-	for i := 0; i < n; i++ {
-		bl.succs[i] = bl.succs[i][:0]
-		bl.preds[i] = bl.preds[i][:0]
-	}
-
+	in := bl.in[:0]
 	add := func(from, to int, kind DepKind, dist int) {
-		if from == to {
-			return
+		if from != to {
+			in = append(in, Edge{From: from, To: to, Kind: kind, MinDist: dist})
 		}
-		e := Edge{From: from, To: to, Kind: kind, MinDist: dist}
-		bl.succs[from] = append(bl.succs[from], e)
-		bl.preds[to] = append(bl.preds[to], e)
 	}
 
 	lastStore := -1
@@ -150,7 +143,46 @@ func (bl *Builder) Build(b *Block, tm Timing) *Graph {
 			}
 		}
 	}
+	bl.in = in
 
-	bl.graph = Graph{Block: b, Succs: bl.succs, Preds: bl.preds}
+	if cap(bl.outAt) < n+1 {
+		bl.succs = make([][]Edge, n)
+		bl.preds = make([][]Edge, n)
+		bl.outAt = make([]int32, n+1)
+	}
+	succs, preds, outAt := bl.succs[:n], bl.preds[:n], bl.outAt[:n+1]
+	if cap(bl.out) < len(in) {
+		bl.out = make([]Edge, len(in))
+	}
+	out := bl.out[:len(in)]
+
+	// Slice the predecessor lists off the add-order backing and count
+	// each operation's successors.
+	for i := range outAt {
+		outAt[i] = 0
+	}
+	lo := 0
+	for i := range preds {
+		hi := lo
+		for hi < len(in) && in[hi].To == i {
+			outAt[in[hi].From+1]++
+			hi++
+		}
+		preds[i] = in[lo:hi:hi]
+		lo = hi
+	}
+	// Transpose: a scan of the add order is stable, so each successor
+	// list keeps the order BuildGraphTiming appends in.
+	for i := 0; i < n; i++ {
+		outAt[i+1] += outAt[i]
+	}
+	for i := range succs {
+		succs[i] = out[outAt[i]:outAt[i]:outAt[i+1]]
+	}
+	for _, e := range in {
+		succs[e.From] = append(succs[e.From], e)
+	}
+
+	bl.graph = Graph{Block: b, Succs: succs, Preds: preds}
 	return &bl.graph
 }

@@ -21,6 +21,7 @@ import (
 	"mdes/internal/lowlevel"
 	"mdes/internal/obs"
 	"mdes/internal/resctx"
+	"mdes/internal/sched"
 	"mdes/internal/stats"
 )
 
@@ -33,25 +34,6 @@ type Dep struct {
 	From, To int
 	MinDist  int
 	Omega    int
-}
-
-// mdesTiming adapts the compiled MDES's operand-level distances.
-type mdesTiming struct{ m *lowlevel.MDES }
-
-func (t mdesTiming) FlowDist(producer, consumer *ir.Operation) int {
-	pi, pok := t.m.OpIndex[producer.Opcode]
-	ci, cok := t.m.OpIndex[consumer.Opcode]
-	if !pok || !cok {
-		return 1
-	}
-	return t.m.FlowDistance(pi, ci)
-}
-
-func (t mdesTiming) Latency(opcode string) int {
-	if idx, ok := t.m.OpIndex[opcode]; ok {
-		return t.m.Operations[idx].Latency
-	}
-	return 1
 }
 
 // Loop is a candidate for software pipelining: a branch-free body plus its
@@ -125,7 +107,7 @@ func NewWithKind(m *lowlevel.MDES, cx *resctx.Context, kind check.Kind) (*Schedu
 // deps builds the full dependence set: intra-iteration from the IR graph
 // plus the loop's carried edges.
 func (s *Scheduler) deps(l *Loop) ([]Dep, error) {
-	g := ir.BuildGraphTiming(l.Body, mdesTiming{m: s.mdes})
+	g := ir.BuildGraphTiming(l.Body, sched.Timing{MDES: s.mdes})
 	var deps []Dep
 	for _, edges := range g.Succs {
 		for _, e := range edges {

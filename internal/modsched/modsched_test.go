@@ -12,6 +12,7 @@ import (
 	"mdes/internal/opt"
 	"mdes/internal/resctx"
 	"mdes/internal/rumap"
+	"mdes/internal/sched"
 	"mdes/internal/stats"
 )
 
@@ -486,9 +487,11 @@ func TestModMapSelfCollision(t *testing.T) {
 	}
 }
 
+// The loop graph is built with sched.Timing over the compiled MDES, so
+// latencies come from the description, falling back to 1 for unknown opcodes.
 func TestTimingLatencyAdapter(t *testing.T) {
 	ll := pipeMDES(t, opt.LevelNone)
-	tm := mdesTiming{m: ll}
+	tm := sched.Timing{MDES: ll}
 	if tm.Latency("MUL") != 2 || tm.Latency("NOPE") != 1 {
 		t.Fatalf("Latency adapter wrong: %d %d", tm.Latency("MUL"), tm.Latency("NOPE"))
 	}

@@ -1,28 +1,26 @@
 package resctx
 
 // Arena is a stack-style scratch allocator for per-block scheduler state.
-// Ints and Bools carve zeroed slices off growing backing arrays; Release
+// Ints carves zeroed slices off a growing backing array; Reset
 // (or Context.Reset) rewinds the whole arena at once. Slices carved
 // before a growth keep their old backing array alive and stay valid, so
 // a caller may hold several live slices across further carves; nothing
 // carved survives a Reset.
 //
-// The flat scheduling path carves all of a block's scratch (ready flags,
-// predecessor counts, earliest-start times, priority order) from its
-// context's arena, so steady-state scheduling performs no per-block
-// scratch allocation — the arena-backed lifetime the probe-plan backend's
-// valid-until-Reset selections share.
+// Every scheduler carves all of a block's scratch (hoisted opcode
+// indices, heights, predecessor counts, earliest-start times, priority
+// order) from its context's arena, so steady-state scheduling performs no
+// per-block scratch allocation — the arena-backed lifetime the probe-plan
+// backend's valid-until-Reset selections share.
 type Arena struct {
-	ints  []int
-	bools []bool
-	iOff  int
-	bOff  int
+	ints []int
+	iOff int
 }
 
 // Reset rewinds the arena, invalidating every carved slice and retaining
 // storage.
 func (a *Arena) Reset() {
-	a.iOff, a.bOff = 0, 0
+	a.iOff = 0
 }
 
 // Ints carves a zeroed []int of length n. The full slice expression pins
@@ -44,24 +42,5 @@ func (a *Arena) Ints(n int) []int {
 		s[i] = 0
 	}
 	a.iOff += n
-	return s
-}
-
-// Bools carves a zeroed []bool of length n.
-func (a *Arena) Bools(n int) []bool {
-	if a.bOff+n > len(a.bools) {
-		grow := len(a.bools)
-		if grow < a.bOff+n {
-			grow = a.bOff + n
-		}
-		fresh := make([]bool, grow*2)
-		a.bools = fresh
-		a.bOff = 0
-	}
-	s := a.bools[a.bOff : a.bOff+n : a.bOff+n]
-	for i := range s {
-		s[i] = false
-	}
-	a.bOff += n
 	return s
 }

@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 
 	"mdes/internal/check"
+	"mdes/internal/ir"
 	"mdes/internal/lowlevel"
 	"mdes/internal/obs"
 	"mdes/internal/obs/flight"
@@ -50,8 +51,7 @@ type Context struct {
 	// helpers, which pick the right path.
 	RU *rumap.Map
 	// PP is non-nil exactly when Checker is the probe-plan backend: the
-	// same flat prober, exposed for the schedulers' devirtualized flat
-	// path (arena-backed scratch, batch window probing).
+	// same flat prober, exposed so hot paths skip interface dispatch.
 	PP *probeplan.Prober
 	// Batch is non-nil when the checker advertises Capabilities.Batch:
 	// the same backend instance through its multi-cycle probing
@@ -59,9 +59,13 @@ type Context struct {
 	// fall back to per-cycle Check otherwise.
 	Batch check.BatchProber
 	// Arena is the per-context scratch allocator for schedule-sized
-	// scratch slices; the schedulers' flat path carves all per-block
-	// state from it, so the steady-state probe loop allocates nothing.
+	// scratch slices; the schedulers carve all per-block state from it,
+	// so the steady-state probe loop allocates nothing.
 	Arena Arena
+	// Builder is the schedulers' reusable dependence-graph constructor.
+	// It lives here, not in a Scheduler, so its scratch survives the
+	// short-lived Schedulers a pooled context serves.
+	Builder ir.Builder
 	// Counters accumulates the attempts / options checked / resource
 	// checks performed through this context since it was borrowed.
 	Counters stats.Counters

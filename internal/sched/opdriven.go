@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 
+	"mdes/internal/check"
 	"mdes/internal/ir"
 	"mdes/internal/obs"
 )
@@ -20,102 +21,62 @@ import (
 // same dependences and resource constraints (and are often identical, but
 // the algorithms' tie-breaking differs, so this is not guaranteed).
 func (s *Scheduler) ScheduleBlockOpDriven(b *ir.Block) (*Result, error) {
-	g := ir.BuildGraphTiming(b, timing{m: s.mdes})
-	n := len(g.Block.Ops)
-	res := &Result{Issue: make([]int, n)}
+	n := len(b.Ops)
 	if n == 0 {
-		return res, nil
+		return &Result{Issue: []int{}}, nil
 	}
-	if err := s.checkOpcodes(g.Block); err != nil {
+	k, err := s.begin(b, obs.PhaseOpDriven)
+	if err != nil {
 		return nil, err
 	}
-	// Operation-driven scheduling probes each operation from its own
-	// earliest start, revisiting cycles earlier ops already passed, so the
-	// checker needs random access to the reservation window.
-	if caps := s.cx.Checker.Capabilities(); caps.MonotonicOnly {
-		return nil, fmt.Errorf("sched: operation-driven scheduling needs random-access probes; the %s backend is monotonic-only", caps.Backend)
-	}
-	ft := s.flightStart()
-	bt := s.startTrace(n)
-	height := g.Height(s.Latency)
-	s.cx.Checker.Reset()
-
-	npreds := make([]int, n)
-	estart := make([]int, n)
-	for i := range g.Block.Ops {
-		npreds[i] = len(g.Preds[i])
-	}
+	res := k.res
+	npreds := s.cx.Arena.Ints(n)
+	estart := s.cx.Arena.Ints(n)
 
 	// Ready queue ordered by (height desc, index asc).
-	pq := &opHeap{height: height}
-	for i := 0; i < n; i++ {
+	pq := &opHeap{height: s.height(&k)}
+	for i, p := range k.g.Preds {
+		npreds[i] = len(p)
 		if npreds[i] == 0 {
 			heap.Push(pq, i)
 		}
 	}
 
+	// Batch fast path: with no per-attempt instrumentation attached, probe
+	// 64-cycle windows in one CheckWindow pass per window instead of
+	// re-entering Check per cycle. The backend's contract makes this
+	// accounting-equivalent to the per-cycle loop, so results and
+	// counters are identical.
+	batch := s.cx.Batch != nil && s.cx.Obs == nil && s.cx.Prof == nil && k.bt == nil && s.OptionsHist == nil && s.OnAttempt == nil
 	scheduled := 0
 	for pq.Len() > 0 {
 		i := heap.Pop(pq).(int)
-		op := g.Block.Ops[i]
-		opIdx, ok := s.mdes.OpIndex[op.Opcode]
-		if !ok {
-			return nil, fmt.Errorf("sched: opcode %q not in MDES %s", op.Opcode, s.mdes.MachineName)
-		}
-		con := s.mdes.ConstraintFor(opIdx, op.Cascaded)
-
-		cycle := estart[i]
-		if s.cx.Batch != nil && s.cx.Obs == nil && s.cx.Prof == nil && bt == nil && s.OptionsHist == nil && s.OnAttempt == nil {
-			// Batch fast path: probe 64-cycle windows in one CheckWindow
-			// pass per window instead of re-entering Check per cycle. The
-			// backend's contract makes this accounting-equivalent to the
-			// serial loop below, and no per-attempt instrumentation is
-			// attached, so results and counters are identical.
-			limit := estart[i] + 64*n + 1024
-			found := false
-			for lo := cycle; lo <= limit; {
-				hi := lo + 64
-				if hi > limit+1 {
-					hi = limit + 1
+		op := k.g.Block.Ops[i]
+		con := s.mdes.ConstraintFor(k.opIdxs[i], op.Cascaded)
+		limit := estart[i] + 64*n + 1024
+		cycle, found := estart[i], false
+		if batch {
+			for lo := cycle; lo <= limit && !found; lo += 64 {
+				var sel check.Selection
+				if sel, cycle, found = s.cx.CheckWindow(con, lo, min(lo+64, limit+1), &res.Counters); found {
+					s.cx.Reserve(sel)
 				}
-				if sel, at, ok := s.cx.CheckWindow(con, lo, hi, &res.Counters); ok {
-					cycle = at
+			}
+		} else {
+			for ; cycle <= limit; cycle++ {
+				if sel, ok := s.attempt(&k, i, con, cycle); ok {
 					s.cx.Reserve(sel)
 					found = true
 					break
 				}
-				lo = hi
 			}
-			if !found {
-				s.flightRecord(obs.PhaseOpDriven, ft, n, -1, res.Counters)
-				return nil, fmt.Errorf("sched: op %d found no cycle", i)
-			}
-		} else {
-			for {
-				sel, ok, opts := s.attempt(obs.PhaseOpDriven, bt, i, op, con, cycle, &res.Counters)
-				if s.OptionsHist != nil {
-					s.OptionsHist.Observe(int(opts))
-				}
-				if s.OnAttempt != nil {
-					s.OnAttempt(op, opts, ok)
-				}
-				if ok {
-					s.cx.Reserve(sel)
-					break
-				}
-				cycle++
-				if cycle > estart[i]+64*n+1024 {
-					if bt != nil {
-						bt.Finish(-1, res.Counters)
-					}
-					s.flightRecord(obs.PhaseOpDriven, ft, n, -1, res.Counters)
-					return nil, fmt.Errorf("sched: op %d found no cycle", i)
-				}
-			}
+		}
+		if !found {
+			return s.fail(&k, fmt.Errorf("sched: op %d found no cycle", i))
 		}
 		res.Issue[i] = cycle
 		scheduled++
-		for _, e := range g.Succs[i] {
+		for _, e := range k.g.Succs[i] {
 			if v := cycle + e.MinDist; v > estart[e.To] {
 				estart[e.To] = v
 			}
@@ -126,24 +87,9 @@ func (s *Scheduler) ScheduleBlockOpDriven(b *ir.Block) (*Result, error) {
 		}
 	}
 	if scheduled != n {
-		return nil, fmt.Errorf("sched: deadlock, scheduled %d of %d", scheduled, n)
+		return s.fail(&k, fmt.Errorf("sched: deadlock, scheduled %d of %d", scheduled, n))
 	}
-	for _, c := range res.Issue {
-		if c+1 > res.Length {
-			res.Length = c + 1
-		}
-	}
-	if s.SelfCheck {
-		if err := g.CheckSchedule(res.Issue); err != nil {
-			return nil, err
-		}
-	}
-	if bt != nil {
-		bt.Finish(res.Length, res.Counters)
-	}
-	s.flightRecord(obs.PhaseOpDriven, ft, n, res.Length, res.Counters)
-	s.cx.Counters.Add(res.Counters)
-	return res, nil
+	return s.finish(&k)
 }
 
 // opHeap is a max-heap of operation indices by height, ties to lower index.

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"mdes/internal/hmdes"
@@ -249,7 +250,6 @@ func TestIdenticalSchedulesAcrossConfigs(t *testing.T) {
 		for _, form := range []lowlevel.Form{lowlevel.FormOR, lowlevel.FormAndOr} {
 			for lvl := opt.LevelNone; lvl <= opt.LevelFull; lvl++ {
 				s := newSched(t, form, lvl)
-				// Deep-copy the block because scheduling renumbers IDs only.
 				res, err := s.ScheduleBlock(b)
 				if err != nil {
 					t.Fatalf("form %v level %v: %v", form, lvl, err)
@@ -322,7 +322,7 @@ func TestAccessorsAndTimingAdapters(t *testing.T) {
 	if s.MDES().MachineName != "TwoIssue" {
 		t.Fatalf("MDES() = %q", s.MDES().MachineName)
 	}
-	tm := timing{m: s.MDES()}
+	tm := Timing{MDES: s.MDES()}
 	if tm.Latency("MUL") != 3 || tm.Latency("NOPE") != 1 {
 		t.Fatalf("timing.Latency wrong")
 	}
@@ -334,7 +334,40 @@ func TestAccessorsAndTimingAdapters(t *testing.T) {
 	if tm.FlowDist(known, known) != 3 {
 		t.Fatalf("FlowDist(MUL,MUL) = %d", tm.FlowDist(known, known))
 	}
-	defer func() { recover() }()
-	s.Latency("NOPE") // must panic
-	t.Fatalf("Latency did not panic")
+}
+
+// sortByHeight must order exactly as sort.SliceStable does on height
+// alone: identity input gives the forward key (height desc, index asc),
+// reversed input the backward key, and arbitrary input checks stability.
+func TestSortByHeightMatchesSliceStable(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 64, 100, 257, 1000, 4099} {
+		for trial := 0; trial < 6; trial++ {
+			height := make([]int, n)
+			levels := 1 + r.Intn(n/4+1) // few levels: many ties
+			for i := range height {
+				height[i] = r.Intn(levels)
+			}
+			order := r.Perm(n)
+			switch trial {
+			case 0:
+				for i := range order {
+					order[i] = i
+				}
+			case 1:
+				for i := range order {
+					order[i] = n - 1 - i
+				}
+			}
+			want := append([]int(nil), order...)
+			sort.SliceStable(want, func(a, b int) bool { return height[want[a]] > height[want[b]] })
+			got := append([]int(nil), order...)
+			sortByHeight(got, make([]int, n), height)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d trial %d: order[%d] = %d, want %d", n, trial, i, got[i], want[i])
+				}
+			}
+		}
+	}
 }
