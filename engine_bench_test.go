@@ -13,11 +13,12 @@ import (
 // over the multi-block workload corpus at parallelism 1, 2, 4 and 8: one
 // frozen compiled description, N goroutines borrowing pooled contexts —
 // once through the default RU-map backend and once through the probe-plan
-// compilation, whose flat scheduler path is the refactor's headline number
-// (>= 2x blocks/s on K5). Per-block results are identical at every level
-// and across backends (asserted once per sub-benchmark); speedup tracks
-// min(parallelism, GOMAXPROCS) since block scheduling is CPU-bound and
-// share-nothing. EXPERIMENTS.md records representative numbers.
+// compilation. All backends share one scheduler, so the two differ only
+// in the cost per probe (probeplan >= 2x blocks/s on K5). Per-block
+// results are identical at every level and across backends (asserted once
+// per sub-benchmark); speedup tracks min(parallelism, GOMAXPROCS) since
+// block scheduling is CPU-bound and share-nothing. EXPERIMENTS.md records
+// representative numbers.
 func BenchmarkScheduleBlocksParallel(b *testing.B) {
 	for _, name := range []mdes.BuiltinName{mdes.SuperSPARC, mdes.K5} {
 		machine, err := mdes.Builtin(name)

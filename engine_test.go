@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mdes"
+	"mdes/internal/obs"
 	"mdes/internal/workload"
 )
 
@@ -97,6 +98,54 @@ func TestEngineScheduleBlocksCancellation(t *testing.T) {
 	_, _, err := eng.ScheduleBlocks(ctx, blocks, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+}
+
+// cancelOnStart is a Tracer that cancels a context as each block starts,
+// so the cancellation lands inside that block's cycle loop.
+type cancelOnStart struct {
+	mdes.Tracer
+	cancel context.CancelFunc
+}
+
+func (c cancelOnStart) StartBlock(block int64, machine string, numOps int) *obs.BlockTrace {
+	c.cancel()
+	return c.Tracer.StartBlock(block, machine, numOps)
+}
+
+// Cancelling ScheduleBlocks' context stops the block in flight, not only
+// the blocks after it: the scheduler polls ctx before its first attempt,
+// so a block whose context is cancelled as it starts attempts nothing,
+// and its trace record and flight entry close with length -1.
+func TestEngineScheduleBlocksCancelsInsideBlock(t *testing.T) {
+	machine, err := mdes.Builtin(mdes.K5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := mdes.Compile(machine, mdes.FormAndOr)
+	mdes.Optimize(compiled, mdes.LevelFull)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tracer, ring := mdes.NewRingTracer(4, 1)
+	rec := mdes.NewFlightRecorder(mdes.FlightConfig{})
+	eng, err := mdes.NewEngine(compiled, mdes.WithTracer(cancelOnStart{tracer, cancel}), mdes.WithFlight(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := &mdes.Block{Ops: make([]*mdes.IROperation, 4096)}
+	for i := range chain.Ops {
+		chain.Ops[i] = &mdes.IROperation{Opcode: "FOP", Dests: []int{1}, Srcs: []int{1, 2}}
+	}
+	chain.Renumber()
+	if _, _, err := eng.ScheduleBlocks(ctx, []*mdes.Block{chain}, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	recs := ring.Snapshot()
+	if len(recs) != 1 || recs[0].Length != -1 || recs[0].Counters.Attempts != 0 {
+		t.Fatalf("trace records %+v, want one with length -1 and no attempts", recs)
+	}
+	if snap := rec.Snapshot(); len(snap.Recent) != 1 || snap.Recent[0].Length != -1 {
+		t.Fatalf("flight entries %+v, want one with length -1", snap.Recent)
 	}
 }
 

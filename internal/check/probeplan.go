@@ -11,7 +11,7 @@ import (
 // Prober directly — the devirtualized fast path the schedulers take,
 // exactly as they do with RUMap.Map.
 //
-// Unlike the RU map, Selections borrow their Chosen slices from the
+// As with the RU map, Selections borrow their Chosen slices from the
 // prober's arena and stay valid only until the next Reset; the schedulers
 // and the query layer both reset per unit of work, so this is invisible
 // to them, but callers must not retain Selections across Resets.

@@ -21,6 +21,10 @@ type Map struct {
 	rows   []bitset.Set
 	// base is the absolute cycle of rows[0].
 	base int
+	// chosen is the selection arena; scratch is one constraint's worth of
+	// per-tree choices, copied into the arena only on success.
+	chosen  []int
+	scratch []int
 }
 
 // New returns an empty RU map for a machine with numRes resources.
@@ -28,11 +32,14 @@ func New(numRes int) *Map {
 	return &Map{numRes: numRes}
 }
 
-// Reset clears all reservations, retaining allocated storage.
+// Reset clears all reservations, retaining allocated storage, and
+// recycles the selection arena: Selections returned before the Reset are
+// no longer valid.
 func (m *Map) Reset() {
 	for i := range m.rows {
 		m.rows[i].Reset()
 	}
+	m.chosen = m.chosen[:0]
 }
 
 // row returns the row for an absolute cycle, growing the window as needed.
@@ -165,10 +172,15 @@ type Selection struct {
 // and resource checks performed.
 //
 // On success the returned Selection identifies the chosen options; nothing
-// is reserved until Reserve is called with it.
+// is reserved until Reserve is called with it. Its Chosen slice is
+// borrowed from the map's arena and stays valid until the next Reset, so
+// a steady-state Check/Reserve loop allocates nothing.
 func (m *Map) Check(con *lowlevel.Constraint, issue int, c *stats.Counters) (Selection, bool) {
 	c.Attempts++
-	sel := Selection{Constraint: con, Issue: issue, Chosen: make([]int, len(con.Trees))}
+	if cap(m.scratch) < len(con.Trees) {
+		m.scratch = make([]int, len(con.Trees))
+	}
+	scratch := m.scratch[:len(con.Trees)]
 	for ti, tree := range con.Trees {
 		found := -1
 		for oi, o := range tree.Options {
@@ -182,9 +194,11 @@ func (m *Map) Check(con *lowlevel.Constraint, issue int, c *stats.Counters) (Sel
 			c.Conflicts++
 			return Selection{}, false
 		}
-		sel.Chosen[ti] = found
+		scratch[ti] = found
 	}
-	return sel, true
+	start := len(m.chosen)
+	m.chosen = append(m.chosen, scratch...)
+	return Selection{Constraint: con, Issue: issue, Chosen: m.chosen[start:len(m.chosen):len(m.chosen)]}, true
 }
 
 // Reserve applies a successful Selection to the map.

@@ -2,6 +2,7 @@ package rumap
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -459,5 +460,49 @@ func TestAppendReservedSlotsStableAcrossGrowth(t *testing.T) {
 		if !want[s] {
 			t.Fatalf("unexpected slot %v after growth", s)
 		}
+	}
+}
+
+// Selections borrow their Chosen slices from the map's arena: each stays
+// intact while later Checks append to it, appending to one never reaches
+// its neighbour, and once Reset has recycled the arena a Check/Reserve
+// loop of the same size allocates nothing.
+func TestSelectionArena(t *testing.T) {
+	ll := compileMini(t, lowlevel.FormAndOr)
+	m := New(ll.NumResources)
+	con := ll.Constraints[0]
+	var c stats.Counters
+	loop := func() []Selection {
+		var sels []Selection
+		for cycle := 0; cycle < 64; cycle++ {
+			sel, ok := m.Check(con, cycle, &c)
+			if !ok {
+				t.Fatalf("cycle %d: load does not fit", cycle)
+			}
+			m.Reserve(sel)
+			sels = append(sels, sel)
+		}
+		return sels
+	}
+	sels := loop()
+	want := append([]int(nil), sels[0].Chosen...)
+	_ = append(sels[0].Chosen, 99)
+	for i, sel := range sels {
+		if !slices.Equal(sel.Chosen, want) {
+			t.Fatalf("selection %d: chosen %v, want %v", i, sel.Chosen, want)
+		}
+	}
+	for _, sel := range sels {
+		m.Release(sel)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		m.Reset()
+		for cycle := 0; cycle < 64; cycle++ {
+			sel, _ := m.Check(con, cycle, &c)
+			m.Reserve(sel)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Check/Reserve after Reset allocates %.1f times per 64 checks, want 0", allocs)
 	}
 }

@@ -54,7 +54,7 @@ func (s *Scheduler) ScheduleBlockBackward(b *ir.Block) (*Result, error) {
 	}
 	sortByHeight(order, ar.Ints(n), depth)
 	tau := ar.Ints(n)
-	if err := s.cycles(&k, order, nsuccs, ar.Ints(n), tau); err != nil {
+	if err := s.cycles(&k, order, nsuccs, tau); err != nil {
 		return s.fail(&k, err)
 	}
 

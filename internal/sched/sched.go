@@ -7,7 +7,9 @@
 package sched
 
 import (
+	"context"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"mdes/internal/check"
@@ -62,6 +64,11 @@ type Scheduler struct {
 	// mdes.Engine.ScheduleBlocks sets it to the block's index within the
 	// batch. The scheduler never modifies it.
 	BlockID int64
+	// Ctx, when non-nil, cancels scheduling inside a block: the cycle loop
+	// polls Ctx.Done() without blocking once every 1024 attempts and, once
+	// it is closed, fails the block with Ctx.Err().
+	// mdes.Engine.ScheduleBlocks sets it to the batch's context.
+	Ctx context.Context
 }
 
 // New returns a scheduler for the given compiled MDES, backed by a
@@ -368,94 +375,155 @@ func (s *Scheduler) ScheduleBlock(b *ir.Block) (*Result, error) {
 		order[i] = i
 	}
 	sortByHeight(order, ar.Ints(n), height)
-	if err := s.cycles(&k, order, npreds, ar.Ints(n), k.res.Issue); err != nil {
+	if err := s.cycles(&k, order, npreds, k.res.Issue); err != nil {
 		return s.fail(&k, err)
 	}
 	return s.finish(&k)
 }
 
 // cycles is the cycle-driven list-scheduling loop the forward and
-// backward schedulers share. order holds the unscheduled operations in
-// priority order. At each cycle every operation in it whose wait count
-// is zero and whose earliest start has come is attempted, in order, and
-// order is compacted in place to the operations still unscheduled, so
-// later cycles scan only those — the same (op, cycle) pairs in the same
-// order as a scan of every operation. An operation placed at cycle c
-// gets at[i] = c and releases its dependence neighbours: successors
-// going forward; predecessors in the backward phase, which probes at -c.
-func (s *Scheduler) cycles(k *block, order, wait, estart, at []int) error {
+// backward schedulers share. order holds the operations in priority
+// order and wait[i] counts operation i's unplaced dependence neighbours:
+// predecessors going forward; successors in the backward phase, which
+// probes at -c. An operation placed at cycle c gets at[i] = c.
+//
+// The loop keeps a ready list instead of rescanning every unscheduled
+// operation each cycle: one min-heap of the operations whose neighbours
+// are all placed, keyed by the cycle the operation is next due and then
+// by its rank, its position in order. It pops the due operations of a
+// cycle in rank order. A failed operation is due again next cycle. One
+// released by a success at rank r is due at its earliest start if that is
+// later; otherwise this cycle if it ranks after r — a scan in priority
+// order would still reach it — and next cycle if it ranks before. Every
+// key pushed for the current cycle exceeds the key just popped, so the
+// loop attempts exactly the (op, cycle) pairs, in exactly the order, of a
+// scan of every operation at every cycle. Between cycles it jumps to the
+// next due cycle, clamped so the no-progress error reports the same cycle
+// the scan would.
+func (s *Scheduler) cycles(k *block, order, wait, at []int) error {
 	ops := k.g.Block.Ops
 	adj, backward, sign := k.g.Succs, k.phase == obs.PhaseBackward, 1
 	if backward {
 		adj, sign = k.g.Preds, -1
 	}
 	n := len(order)
-	for cycle := 0; len(order) > 0; cycle++ {
-		r, live, progressPossible := 0, 0, false
-		for {
-			var ready bool
-			r, live, ready = carry(order, wait, estart, r, live, cycle)
-			progressPossible = progressPossible || ready
-			if r == len(order) {
-				break
-			}
-			i := order[r]
-			r++
-			con := s.mdes.ConstraintFor(k.opIdxs[i], ops[i].Cascaded)
-			if sel, ok := s.attempt(k, i, con, sign*cycle); ok {
-				s.cx.Reserve(sel)
-				at[i] = cycle
-				for _, e := range adj[i] {
-					j := e.To
-					if backward {
-						j = e.From
-					}
-					wait[j]--
-					estart[j] = max(estart[j], cycle+e.MinDist)
+	// A key is due<<shift | rank: no division takes one apart.
+	shift := bits.Len(uint(n))
+	mask := 1<<shift - 1
+	ar := &s.cx.Arena
+	rank, estart, queue := ar.Ints(n), ar.Ints(n), ar.Ints(n)[:0]
+	for r, i := range order {
+		rank[i] = r
+		if wait[i] == 0 {
+			// Due at cycle 0; ascending ranks already form a heap.
+			queue = append(queue, r)
+		}
+	}
+	var done <-chan struct{}
+	if s.Ctx != nil {
+		done = s.Ctx.Done()
+	}
+	limit := 64*n + 1024
+	left, polls := n, 0
+	for cycle := 0; ; {
+		for len(queue) > 0 && queue[0]>>shift == cycle {
+			if polls&1023 == 0 && done != nil {
+				select {
+				case <-done:
+					return s.Ctx.Err()
+				default:
 				}
+			}
+			polls++
+			var key int
+			key, queue = popMin(queue)
+			r := key & mask
+			i := order[r]
+			con := s.mdes.ConstraintFor(k.opIdxs[i], ops[i].Cascaded)
+			sel, ok := s.attempt(k, i, con, sign*cycle)
+			if !ok {
+				queue = pushMin(queue, (cycle+1)<<shift|r)
 				continue
 			}
-			order[live] = i
-			live++
-		}
-		order = order[:live]
-		if !progressPossible && live > 0 {
-			return fmt.Errorf("sched: %s deadlock, %d operations unschedulable", k.phase, live)
-		}
-		if cycle > 64*n+1024 {
-			return fmt.Errorf("sched: %s no progress after %d cycles", k.phase, cycle)
-		}
-	}
-	return nil
-}
-
-// carry moves the operations of order[r:] that cannot issue at cycle down
-// to order[live:], stopping at the first that can (r == len(order) when
-// none can). It returns the advanced positions and whether any operation
-// passed or found was ready (all its dependence predecessors placed).
-//
-// This is the scan every cycle pays for every unscheduled operation, the
-// whole cost of a long dependence chain. It is kept out of line on
-// purpose: inlined into cycles, whose loop also calls attempt, the scan's
-// slices and counters are spilled to the stack and reloaded on every
-// step, which measured slower than the old full rescan on 1 024–4 096-op
-// K5 blocks; out of line it runs in registers.
-//
-//go:noinline
-func carry(order, wait, estart []int, r, live, cycle int) (int, int, bool) {
-	ready := false
-	for ; r < len(order); r++ {
-		i := order[r]
-		if wait[i] == 0 {
-			ready = true
-			if estart[i] <= cycle {
-				break
+			s.cx.Reserve(sel)
+			at[i] = cycle
+			left--
+			for _, e := range adj[i] {
+				j := e.To
+				if backward {
+					j = e.From
+				}
+				estart[j] = max(estart[j], cycle+e.MinDist)
+				if wait[j]--; wait[j] > 0 {
+					continue
+				}
+				due := estart[j]
+				if due <= cycle {
+					due = cycle
+					if rank[j] < r {
+						due = cycle + 1
+					}
+				}
+				queue = pushMin(queue, due<<shift|rank[j])
 			}
 		}
-		order[live] = i
-		live++
+		if cycle > limit {
+			return fmt.Errorf("sched: %s no progress after %d cycles", k.phase, cycle)
+		}
+		if left == 0 {
+			return nil
+		}
+		if len(queue) == 0 {
+			// No unscheduled operation has all its neighbours placed.
+			return fmt.Errorf("sched: %s deadlock, %d operations unschedulable", k.phase, left)
+		}
+		// Every key due this cycle has been popped, so the next due
+		// cycle is a later one.
+		cycle = min(queue[0]>>shift, limit+1)
 	}
-	return r, live, ready
+}
+
+// pushMin adds x to the binary min-heap h.
+func pushMin(h []int, x int) []int {
+	h = append(h, x)
+	c := len(h) - 1
+	for c > 0 {
+		p := (c - 1) / 2
+		if h[p] <= x {
+			break
+		}
+		h[c] = h[p]
+		c = p
+	}
+	h[c] = x
+	return h
+}
+
+// popMin removes and returns the least element of the non-empty binary
+// min-heap h.
+func popMin(h []int) (int, []int) {
+	top, last := h[0], h[len(h)-1]
+	h = h[:len(h)-1]
+	n := len(h)
+	p := 0
+	for {
+		c := 2*p + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1] < h[c] {
+			c++
+		}
+		if last <= h[c] {
+			break
+		}
+		h[p] = h[c]
+		p = c
+	}
+	if n > 0 {
+		h[p] = last
+	}
+	return top, h
 }
 
 // sortByHeight stably sorts order by height, highest first, with a

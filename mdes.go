@@ -49,6 +49,7 @@ package mdes
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -397,11 +398,11 @@ const (
 	// with non-negative usage times.
 	CheckerAutomaton = check.KindAutomaton
 	// CheckerProbePlan compiles the description's AND/OR-trees into flat
-	// span arrays of packed probe words walked by slice iteration, adds
-	// batch multi-cycle probing (check.BatchProber), and switches the
-	// engine's schedulers onto their allocation-free flat paths. Probe
-	// order and accounting are identical to CheckerRUMap, so schedules
-	// and counters are byte-identical; only the cost per probe changes.
+	// span arrays of packed probe words walked by slice iteration and
+	// adds batch multi-cycle probing (check.BatchProber). All backends
+	// share one scheduler; probe order and accounting are identical to
+	// CheckerRUMap, so schedules and counters are byte-identical and
+	// only the cost per probe changes.
 	CheckerProbePlan = check.KindProbePlan
 )
 
@@ -558,8 +559,13 @@ func (e *Engine) ScheduleBlock(b *Block) (*Result, error) {
 // problems (each starts from an empty RU map), so results — issue cycles,
 // schedule lengths, per-block counters — are identical to a serial run
 // regardless of parallelism; only wall-clock time changes. parallelism
-// <= 0 uses GOMAXPROCS. The first error cancels the remaining work, as
-// does ctx; on error the partial results are discarded.
+// <= 0 uses GOMAXPROCS. On error the partial results are discarded.
+//
+// The first error cancels the remaining work, and so does ctx, inside a
+// block as well as between blocks: each worker's scheduler polls ctx once
+// every 1024 scheduling attempts, so a cancelled batch returns ctx.Err()
+// after at most that many further attempts per worker, and each block cut
+// short closes its trace record and flight entry with length -1.
 //
 // The returned Counters are the sum over all blocks (deterministic,
 // unlike the interleaving).
@@ -597,11 +603,16 @@ func (e *Engine) ScheduleBlocks(ctx context.Context, blocks []*Block, parallelis
 			defer cx.Release()
 			s := sched.NewWithContext(e.compiled, cx)
 			s.Tracer = e.tracer
+			s.Ctx = ctx
 			for bi := range next {
 				s.BlockID = int64(bi)
 				r, err := s.ScheduleBlock(blocks[bi])
 				if err != nil {
-					fail(fmt.Errorf("block %d: %w", bi, err))
+					// A block cut short by ctx leaves ctx.Err() to be
+					// reported below.
+					if !errors.Is(err, ctx.Err()) {
+						fail(fmt.Errorf("block %d: %w", bi, err))
+					}
 					return
 				}
 				results[bi] = r
